@@ -33,10 +33,10 @@ bench:
 bench-plancache:
 	$(GO) test -run xxx -bench 'PointSelect|RepeatedShape' -benchtime 2s ./internal/bench/
 
-# Wire protocol v2 vs v1 throughput + socket-budget comparison, and the
-# paired trace-propagation overhead measurement.
+# Multiplexed remote point-select throughput + socket budget, and the
+# allocation ceiling of an untraced remote point select.
 bench-remote:
-	$(GO) test -run 'TestRemoteV2VsV1|TestTraceOverhead' -v ./internal/bench/
+	$(GO) test -run 'TestRemoteMux|TestTraceOverhead' -v ./internal/bench/
 
 # Streaming scatter-gather measurement: bounded-memory merge vs full
 # drain (peak live heap), time-to-first-row, and early cursor stop over
@@ -105,12 +105,12 @@ digest-smoke:
 bench-digest:
 	$(GO) test -run 'TestDigestOverheadInterleaved' -v -count=1 ./internal/bench/
 
-# Short fuzz pass over the frame reader, row decoder and trace-context
-# trailer. `go test` accepts one -fuzz target per invocation, hence
+# Short fuzz pass over the frame reader, row-batch decoder and
+# trace-context trailer. `go test` accepts one -fuzz target per invocation, hence
 # separate runs.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzReadFrame' -fuzztime 10s -run '^$$' ./internal/protocol/
-	$(GO) test -fuzz 'FuzzDecodeRow' -fuzztime 10s -run '^$$' ./internal/protocol/
+	$(GO) test -fuzz 'FuzzDecodeRowBatch' -fuzztime 10s -run '^$$' ./internal/protocol/
 	$(GO) test -fuzz 'FuzzTraceContext' -fuzztime 10s -run '^$$' ./internal/protocol/
 
 # Multiplexed wire-protocol concurrency suite under the race detector:

@@ -487,7 +487,7 @@ func (s *Session) runUnitsOnce(ctx context.Context, stmt sqlparser.Statement, se
 	var execErr error
 	if isSelect {
 		var qr *execQueryResult
-		qr, execErr = s.runQuery(ctx, rw, readOnly && s.tx == nil)
+		qr, execErr = s.execQuery(ctx, rw, readOnly && s.tx == nil)
 		if execErr == nil {
 			s.tr.Mark(telemetry.StageExecute)
 			var rs resource.ResultSet
@@ -540,7 +540,7 @@ type execQueryResult struct {
 	sets []resource.ResultSet
 }
 
-func (s *Session) runQuery(ctx context.Context, rw *rewrite.Result, retry bool) (*execQueryResult, error) {
+func (s *Session) execQuery(ctx context.Context, rw *rewrite.Result, retry bool) (*execQueryResult, error) {
 	qr, err := s.k.executor.QueryCtx(ctx, rw.Units, heldOf(s.tx), s.tr, retry)
 	if err != nil {
 		return nil, err

@@ -610,7 +610,7 @@ func deferCancelToSets(sets []resource.ResultSet, cancel context.CancelFunc) {
 // caller opted in (idempotent reads outside transactions only — held
 // connections carry transaction state and are never retried).
 func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, retry bool) error {
-	err := e.runQueryGroup(ctx, units, g, held, res, mu, tr, 1)
+	err := e.runSelectGroup(ctx, units, g, held, res, mu, tr, 1)
 	if err == nil || !retry || held != nil {
 		return err
 	}
@@ -626,7 +626,7 @@ func (e *Executor) queryGroupRetry(ctx context.Context, units []rewrite.SQLUnit,
 			return err
 		}
 		e.retries.Add(1)
-		if err = e.runQueryGroup(ctx, units, g, held, res, mu, tr, attempt+1); err == nil {
+		if err = e.runSelectGroup(ctx, units, g, held, res, mu, tr, attempt+1); err == nil {
 			e.retrySuccess.Add(1)
 			return nil
 		}
@@ -646,7 +646,7 @@ func closeGroupSets(res *QueryResult, g group, mu *sync.Mutex) {
 	}
 }
 
-func (e *Executor) runQueryGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
+func (e *Executor) runSelectGroup(ctx context.Context, units []rewrite.SQLUnit, g group, held *HeldConns, res *QueryResult, mu *sync.Mutex, tr *telemetry.Trace, attempt int) error {
 	if held != nil {
 		conn, err := held.Get(ctx, e, g.ds)
 		if err != nil {

@@ -18,29 +18,10 @@ func TestHelloCapsRoundTrip(t *testing.T) {
 	if v != Version2 || mf != MaxFrame || caps != LocalCaps {
 		t.Fatalf("got v=%d mf=%d caps=%#x", v, mf, caps)
 	}
-
-	// An old peer's 8-byte hello decodes with zero capabilities.
-	v, mf, caps, err = DecodeHelloCaps(EncodeHello(Version2, MaxFrame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != Version2 || mf != MaxFrame || caps != 0 {
-		t.Fatalf("legacy hello: v=%d mf=%d caps=%#x", v, mf, caps)
-	}
-
-	// An old peer decoding the capability-bearing hello must see the
-	// same version and frame size (trailing word ignored).
-	v, mf, err = DecodeHello(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != Version2 || mf != MaxFrame {
-		t.Fatalf("old decoder: v=%d mf=%d", v, mf)
-	}
 }
 
 func TestTraceContextRoundTrip(t *testing.T) {
-	body := EncodeQuery("SELECT 1", nil)
+	body := EncodeExecStmt(5, nil)
 	tc := TraceContext{ID: 42, Sampled: true, Detailed: true}
 	payload := AppendTraceContext(append([]byte(nil), body...), tc)
 
@@ -55,9 +36,9 @@ func TestTraceContextRoundTrip(t *testing.T) {
 		t.Fatalf("stripped body differs from original")
 	}
 	// The statement head still decodes from the stripped payload.
-	sql, _, err := DecodeQuery(stripped)
-	if err != nil || sql != "SELECT 1" {
-		t.Fatalf("decode after strip: %q %v", sql, err)
+	id, _, err := DecodeExecStmt(stripped)
+	if err != nil || id != 5 {
+		t.Fatalf("decode after strip: %d %v", id, err)
 	}
 }
 
@@ -217,7 +198,7 @@ func TestDecodeMetricsRejectsBadInput(t *testing.T) {
 // span-block decoders: they must never panic, and anything they accept
 // must survive a re-encode/re-decode round trip.
 func FuzzTraceContext(f *testing.F) {
-	f.Add(AppendTraceContext(EncodeQuery("SELECT 1", nil), TraceContext{ID: 7, Sampled: true}))
+	f.Add(AppendTraceContext(EncodeExecStmt(1, nil), TraceContext{ID: 7, Sampled: true}))
 	f.Add(AppendSpanBlock(nil, time.Millisecond, []telemetry.RemoteSpan{
 		{Stage: "parse", Offset: time.Microsecond, Dur: 3 * time.Microsecond},
 		{Stage: "read", Dur: 9 * time.Microsecond, Err: "x"},

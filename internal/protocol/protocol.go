@@ -7,6 +7,8 @@
 // Tables III/IV is exactly the cost of this extra hop.
 //
 // Frame layout: 4-byte big-endian payload length, 1 type byte, payload.
+// Only the Hello/HelloAck handshake uses this bare header; every frame
+// after it carries a stream ID too (protocol2.go).
 package protocol
 
 import (
@@ -22,15 +24,12 @@ import (
 // Frame types.
 const (
 	// Client → server.
-	FrameQuery byte = 0x01 // SQL + bind args; server replies rows or OK
-	FramePing  byte = 0x02
-	FrameQuit  byte = 0x03
+	FramePing byte = 0x02
 
 	// Server → client.
 	FrameOK     byte = 0x10 // affected, lastInsertID
 	FrameError  byte = 0x11 // message
 	FrameHeader byte = 0x12 // column names
-	FrameRow    byte = 0x13 // one row
 	FrameEOF    byte = 0x14 // end of rows
 	FramePong   byte = 0x15
 )
@@ -169,40 +168,6 @@ func (r *reader) value() (sqltypes.Value, error) {
 
 // --- message constructors/parsers ---
 
-// EncodeQuery builds a FrameQuery payload.
-func EncodeQuery(sql string, args []sqltypes.Value) []byte {
-	w := &writer{}
-	w.str(sql)
-	w.u32(uint32(len(args)))
-	for _, a := range args {
-		w.value(a)
-	}
-	return w.buf
-}
-
-// DecodeQuery parses a FrameQuery payload.
-func DecodeQuery(payload []byte) (string, []sqltypes.Value, error) {
-	r := &reader{buf: payload}
-	sql, err := r.str()
-	if err != nil {
-		return "", nil, err
-	}
-	n, err := r.u32()
-	if err != nil {
-		return "", nil, err
-	}
-	if n > 65535 {
-		return "", nil, fmt.Errorf("protocol: %d bind args", n)
-	}
-	args := make([]sqltypes.Value, n)
-	for i := range args {
-		if args[i], err = r.value(); err != nil {
-			return "", nil, err
-		}
-	}
-	return sql, args, nil
-}
-
 // EncodeOK builds a FrameOK payload.
 func EncodeOK(affected, lastInsertID int64) []byte {
 	w := &writer{}
@@ -265,33 +230,4 @@ func DecodeHeader(payload []byte) ([]string, error) {
 		}
 	}
 	return cols, nil
-}
-
-// EncodeRow builds a FrameRow payload.
-func EncodeRow(row sqltypes.Row) []byte {
-	w := &writer{}
-	w.u32(uint32(len(row)))
-	for _, v := range row {
-		w.value(v)
-	}
-	return w.buf
-}
-
-// DecodeRow parses a FrameRow payload.
-func DecodeRow(payload []byte) (sqltypes.Row, error) {
-	r := &reader{buf: payload}
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if n > 4096 {
-		return nil, fmt.Errorf("protocol: %d row values", n)
-	}
-	row := make(sqltypes.Row, n)
-	for i := range row {
-		if row[i], err = r.value(); err != nil {
-			return nil, err
-		}
-	}
-	return row, nil
 }

@@ -1,19 +1,20 @@
-// Protocol v2: stream-multiplexed framing.
+// Protocol v2: stream-multiplexed framing, the only protocol spoken.
 //
-// v1 frames one request/response pair at a time over a dedicated TCP
-// connection. v2 adds a 4-byte stream ID after the type byte so that one
-// TCP connection carries many logical conversations concurrently:
+// Every frame after the handshake carries a 4-byte stream ID after the
+// type byte, so one TCP connection carries many logical conversations
+// concurrently:
 //
-//	v1: | len u32 | type u8 | payload |
-//	v2: | len u32 | type u8 | stream u32 | payload |
+//	handshake: | len u32 | type u8 | payload |
+//	v2:        | len u32 | type u8 | stream u32 | payload |
 //
-// Version negotiation happens in v1 framing: the client sends FrameHello
-// (version + max frame size) as its first frame; a v2-aware server replies
-// FrameHelloAck and both sides switch to v2 framing on the same socket.
-// A v1 server rejects the unknown frame type with FrameError, which the
-// client treats as "speak v1".
+// The handshake is one exchange in the bare framing: the client sends
+// FrameHello (version 2, max frame size, capability bits) as its first
+// frame and the server answers FrameHelloAck with the same three words.
+// The capability bits are not negotiable: a Hello that offers anything
+// other than version 2 with exactly LocalCaps gets one FrameError and
+// the socket is closed. Both sides then switch to v2 framing.
 //
-// On top of v2 framing, three new exchanges remove per-statement overhead:
+// Statements travel as two exchanges that remove per-statement overhead:
 //
 //   - FramePrepare registers SQL text under a client-chosen statement ID,
 //     once per (connection, statement shape). It is fire-and-forget: the
@@ -22,8 +23,9 @@
 //   - FrameExecStmt executes a prepared statement by ID + bind args,
 //     letting the data node skip its own parse (mirroring what
 //     internal/plancache does proxy-side).
-//   - FrameRowBatch carries many rows per frame (~16KB per batch) instead
-//     of one frame per row.
+//
+// Query results come back as FrameHeader, FrameRowBatch frames (many
+// rows per ~16KB frame) under per-stream flow control, then FrameEOF.
 package protocol
 
 import (
@@ -35,24 +37,22 @@ import (
 	"shardingsphere/internal/sqltypes"
 )
 
-// Protocol versions exchanged in Hello/HelloAck.
-const (
-	Version1 uint32 = 1
-	Version2 uint32 = 2
-)
+// Version2 is the protocol version exchanged in Hello/HelloAck.
+const Version2 uint32 = 2
 
-// v2-era frame types. Client → server types continue from 0x03,
+// v2 frame types. Client → server types continue from 0x03,
 // server → client types continue from 0x15. (0x08/0x18 are the
-// metrics-federation frames in obs.go.)
+// metrics-federation frames in obs.go.) The retired v1 values 0x01,
+// 0x03 and 0x13 stay unassigned so an old peer's frame is never misread.
 const (
-	FrameHello        byte = 0x04 // version negotiation; sent in v1 framing
+	FrameHello        byte = 0x04 // handshake; sent in the bare 5-byte framing
 	FramePrepare      byte = 0x05 // stmtID + SQL text; fire-and-forget
 	FrameExecStmt     byte = 0x06 // stmtID + bind args
 	FrameStreamClose  byte = 0x07 // client abandons a stream mid-result
 	FrameCursorCancel byte = 0x09 // stop streaming rows for one statement
 	FrameBatchAck     byte = 0x0a // consumer took one row batch (flow credit)
 
-	FrameHelloAck byte = 0x16 // version + max frame size accepted
+	FrameHelloAck byte = 0x16 // version + max frame size + capabilities
 	FrameRowBatch byte = 0x17 // many rows per frame
 )
 
@@ -61,14 +61,13 @@ const (
 // per-stream memory bounded and interleave fairly on a shared socket.
 const DefaultBatchBytes = 16 << 10
 
-// StreamWindow is the per-stream row-batch flow-control window on
-// CapStreamFlow connections: the server keeps at most this many unacked
-// FrameRowBatch frames in flight per stream, and the client acks each
-// batch (FrameBatchAck) as its consumer takes it off the queue. The
-// product StreamWindow × DefaultBatchBytes (~64KB) is the per-source
-// working set a merging proxy holds regardless of result size; the
-// window is deliberately deeper than one batch so decode and network
-// transfer overlap.
+// StreamWindow is the per-stream row-batch flow-control window: the
+// server keeps at most this many unacked FrameRowBatch frames in flight
+// per stream, and the client acks each batch (FrameBatchAck) as its
+// consumer takes it off the queue. The product StreamWindow ×
+// DefaultBatchBytes (~64KB) is the per-source working set a merging
+// proxy holds regardless of result size; the window is deliberately
+// deeper than one batch so decode and network transfer overlap.
 const StreamWindow = 4
 
 // EncodeCursorCancel builds a FrameCursorCancel payload: the 1-based
@@ -104,8 +103,9 @@ func (e *FrameTooLargeError) Error() string {
 
 func (e *FrameTooLargeError) Unwrap() error { return ErrFrameTooLarge }
 
-// ReadFrameLimit reads one v1 frame, rejecting payloads above max before
-// allocating. ReadFrame is ReadFrameLimit with the protocol-wide MaxFrame.
+// ReadFrameLimit reads one handshake frame, rejecting payloads above max
+// before allocating. ReadFrame is ReadFrameLimit with the protocol-wide
+// MaxFrame.
 func ReadFrameLimit(r *bufio.Reader, max uint32) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -155,27 +155,6 @@ func ReadFrameV2(r *bufio.Reader, max uint32) (typ byte, stream uint32, payload 
 		return 0, 0, nil, err
 	}
 	return hdr[4], stream, payload, nil
-}
-
-// EncodeHello builds a FrameHello / FrameHelloAck payload: the protocol
-// version offered (or accepted) and the sender's max frame size.
-func EncodeHello(version, maxFrame uint32) []byte {
-	w := &writer{}
-	w.u32(version)
-	w.u32(maxFrame)
-	return w.buf
-}
-
-// DecodeHello parses a FrameHello / FrameHelloAck payload.
-func DecodeHello(payload []byte) (version, maxFrame uint32, err error) {
-	r := &reader{buf: payload}
-	if version, err = r.u32(); err != nil {
-		return 0, 0, err
-	}
-	if maxFrame, err = r.u32(); err != nil {
-		return 0, 0, err
-	}
-	return version, maxFrame, nil
 }
 
 // EncodePrepare builds a FramePrepare payload.

@@ -13,7 +13,7 @@ import (
 func TestFrameV2RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := WriteFrameV2(w, FrameQuery, 7, []byte("hello")); err != nil {
+	if err := WriteFrameV2(w, FrameExecStmt, 7, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteFrameV2(w, FrameEOF, 0xDEADBEEF, nil); err != nil {
@@ -22,7 +22,7 @@ func TestFrameV2RoundTrip(t *testing.T) {
 	w.Flush()
 	r := bufio.NewReader(&buf)
 	typ, stream, payload, err := ReadFrameV2(r, MaxFrame)
-	if err != nil || typ != FrameQuery || stream != 7 || string(payload) != "hello" {
+	if err != nil || typ != FrameExecStmt || stream != 7 || string(payload) != "hello" {
 		t.Fatalf("frame 1: %v %d %v %q", typ, stream, err, payload)
 	}
 	typ, stream, payload, err = ReadFrameV2(r, MaxFrame)
@@ -36,7 +36,7 @@ func TestReadFrameLimitRejectsOversized(t *testing.T) {
 	// any allocation, with a typed error carrying both sizes.
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], 1<<30)
-	hdr[4] = FrameRow
+	hdr[4] = FrameHello
 	_, _, err := ReadFrameLimit(bufio.NewReader(bytes.NewReader(hdr[:])), 1<<20)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
@@ -56,13 +56,17 @@ func TestReadFrameLimitRejectsOversized(t *testing.T) {
 	}
 }
 
+// TestHelloRoundTrip pins the handshake payload at three words: a short
+// hello, including the 8-byte form without capability bits, is rejected.
 func TestHelloRoundTrip(t *testing.T) {
-	v, m, err := DecodeHello(EncodeHello(Version2, MaxFrame))
-	if err != nil || v != Version2 || m != MaxFrame {
-		t.Fatalf("hello: %d %d %v", v, m, err)
+	hello := EncodeHelloCaps(Version2, MaxFrame, LocalCaps)
+	if len(hello) != 12 {
+		t.Fatalf("hello is %d bytes, want 12", len(hello))
 	}
-	if _, _, err := DecodeHello([]byte{1, 2}); err == nil {
-		t.Fatal("short hello accepted")
+	for _, short := range [][]byte{{1, 2}, hello[:8], hello[:11]} {
+		if _, _, _, err := DecodeHelloCaps(short); err == nil {
+			t.Fatalf("%d-byte hello accepted", len(short))
+		}
 	}
 }
 
@@ -134,7 +138,7 @@ func TestRowBatchRejectsBogusCounts(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
 	bw := bufio.NewWriter(&seed)
-	WriteFrame(bw, FrameQuery, EncodeQuery("SELECT 1", nil))
+	WriteFrame(bw, FrameHello, EncodeHelloCaps(Version2, MaxFrame, LocalCaps))
 	bw.Flush()
 	f.Add(seed.Bytes())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x13})
@@ -148,18 +152,14 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			// Exercise the payload decoders on whatever came through.
 			switch typ {
-			case FrameQuery:
-				DecodeQuery(payload)
 			case FrameOK:
 				DecodeOK(payload)
 			case FrameHeader:
 				DecodeHeader(payload)
-			case FrameRow:
-				DecodeRow(payload)
 			case FrameRowBatch:
 				DecodeRowBatch(payload, nil)
 			case FrameHello, FrameHelloAck:
-				DecodeHello(payload)
+				DecodeHelloCaps(payload)
 			case FramePrepare:
 				DecodePrepare(payload)
 			case FrameExecStmt:
@@ -169,18 +169,31 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-func FuzzDecodeRow(f *testing.F) {
-	f.Add(EncodeRow(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("x")}))
-	f.Add(EncodeRow(sqltypes.Row{}))
-	f.Add([]byte{0, 0, 0, 2, 1})
+// FuzzDecodeRowBatch feeds arbitrary bytes to the row-batch decoder,
+// which decodes network input on every query: it must never panic, and
+// a batch it accepts must re-encode to one that decodes the same.
+func FuzzDecodeRowBatch(f *testing.F) {
+	var enc BatchEncoder
+	enc.Append(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewString("x")})
+	enc.Append(sqltypes.Row{})
+	f.Add(append([]byte(nil), enc.Payload()...))
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		row, err := DecodeRow(data)
-		if err == nil {
-			// A successfully decoded row must re-encode cleanly.
-			if _, err := DecodeRow(EncodeRow(row)); err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
+		rows, err := DecodeRowBatch(data, nil)
+		if err != nil {
+			return
 		}
-		DecodeRowBatch(data, nil)
+		var enc BatchEncoder
+		for _, row := range rows {
+			enc.Append(row)
+		}
+		if len(rows) == 0 {
+			return // an empty encoder has no payload to re-decode
+		}
+		again, err := DecodeRowBatch(enc.Payload(), nil)
+		if err != nil || len(again) != len(rows) {
+			t.Fatalf("re-decode: %d rows vs %d (%v)", len(again), len(rows), err)
+		}
 	})
 }

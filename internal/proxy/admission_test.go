@@ -29,7 +29,7 @@ func (b *blockingBackend) NewBackendSession() BackendSession { return &blockingS
 
 type blockingSession struct{ release chan struct{} }
 
-func (s *blockingSession) Execute(string, []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *blockingSession) Execute(string, []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	<-s.release
 	return nil, nil, 1, 0, nil
 }
@@ -136,7 +136,7 @@ func TestStatementShedTypedError(t *testing.T) {
 }
 
 // TestConnCapTypedRejection checks the accept-time connection cap: the
-// excess connection is turned away with the typed overload error (not a
+// excess connection's Dial fails with the typed overload error (not a
 // silent close), and the slot is reusable once the first client leaves.
 func TestConnCapTypedRejection(t *testing.T) {
 	ctl := admission.NewController(admission.Config{MaxConns: 1})
@@ -157,12 +157,11 @@ func TestConnCapTypedRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// TCP connect still succeeds; the rejection answers the Hello.
 	second, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err) // TCP connect still succeeds; rejection is on the wire
+	if second != nil {
+		t.Fatal("rejected Dial returned a conn")
 	}
-	defer second.Close()
-	_, err = second.Exec(context.Background(), "SELECT 1")
 	if reason, _, ok := client.IsOverloaded(err); !ok || reason != admission.ReasonConnLimit {
 		t.Fatalf("conn-cap rejection: ok=%v reason=%q err=%v", ok, reason, err)
 	}
@@ -183,10 +182,10 @@ func TestConnCapTypedRejection(t *testing.T) {
 	}
 }
 
-// TestSlowLorisReclaimed sends a partial frame and goes silent on both
-// protocol versions. The idle deadline must reclaim the connection and
-// its goroutines — the slow-loris defense — without disturbing healthy
-// clients.
+// TestSlowLorisReclaimed sends a partial frame and goes silent, once
+// before the handshake and once after it. The idle deadline must reclaim
+// both connections and their goroutines — the slow-loris defense —
+// without disturbing healthy clients.
 func TestSlowLorisReclaimed(t *testing.T) {
 	proc := sqlexec.NewProcessor(storage.NewEngine("loris"))
 	srv := NewServer(&NodeBackend{Processor: proc})
@@ -208,37 +207,37 @@ func TestSlowLorisReclaimed(t *testing.T) {
 	runtime.GC()
 	baseline := runtime.NumGoroutine()
 
-	// v1 loris: 2 of the 5 header bytes, then silence.
-	v1, err := net.Dial("tcp", addr)
+	// Pre-handshake loris: 2 of the Hello's 5 header bytes, then silence.
+	pre, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	v1.Write([]byte{0x00, 0x00})
+	defer pre.Close()
+	pre.Write([]byte{0x00, 0x00})
 
-	// v2 loris: complete the Hello handshake, then stall mid-frame.
-	v2, err := net.Dial("tcp", addr)
+	// Post-handshake loris: complete the Hello, then stall mid-frame.
+	post, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	bw := bufio.NewWriter(v2)
-	protocol.WriteFrame(bw, protocol.FrameHello, protocol.EncodeHello(protocol.Version2, protocol.MaxFrame))
+	defer post.Close()
+	bw := bufio.NewWriter(post)
+	protocol.WriteFrame(bw, protocol.FrameHello, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.LocalCaps))
 	bw.Flush()
-	br := bufio.NewReader(v2)
+	br := bufio.NewReader(post)
 	if typ, _, err := protocol.ReadFrame(br); err != nil || typ != protocol.FrameHelloAck {
 		t.Fatalf("hello ack: %#x %v", typ, err)
 	}
-	v2.Write([]byte{0x00, 0x00, 0x00})
+	post.Write([]byte{0x00, 0x00, 0x00})
 
 	// Both get reclaimed by the per-frame read deadline.
 	waitMetric(t, func() int64 { return srv.Metrics()["idle_reclaims"] }, 2, "idle_reclaims")
 	waitCond(t, "active after reclaim", func() bool { return srv.Metrics()["connections_active"] == 0 })
 
 	// The server actually closed the sockets.
-	v1.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := v1.Read(make([]byte, 1)); err == nil {
-		t.Fatal("v1 loris socket still open")
+	pre.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := pre.Read(make([]byte, 1)); err == nil {
+		t.Fatal("pre-handshake loris socket still open")
 	}
 
 	// No goroutine leak: counts return to the baseline.
@@ -271,7 +270,7 @@ func (b *sleepBackend) NewBackendSession() BackendSession { return &sleepSession
 
 type sleepSession struct{ d time.Duration }
 
-func (s *sleepSession) Execute(string, []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *sleepSession) Execute(string, []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	time.Sleep(s.d)
 	return nil, nil, 1, 0, nil
 }

@@ -1,4 +1,5 @@
-// Protocol v2 server side: stream-multiplexed connection handling.
+// Server side of the wire protocol: stream-multiplexed connection
+// handling.
 //
 // One TCP connection carries many streams; each stream gets its own
 // backend session and worker goroutine, so a statement hung in one stream
@@ -42,9 +43,9 @@ const streamQueueDepth = 256
 type PreparedBackendSession interface {
 	// Prepare parses sql into a reusable statement handle.
 	Prepare(sql string) (handle any, err error)
-	// ExecutePrepared runs a handle from Prepare; rows is nil for
-	// non-queries.
-	ExecutePrepared(handle any, args []sqltypes.Value) (cols []string, rows []sqltypes.Row, affected, lastInsertID int64, err error)
+	// ExecutePrepared runs a handle from Prepare, with Execute's result
+	// shape.
+	ExecutePrepared(handle any, args []sqltypes.Value) (cols []string, rs resource.ResultSet, affected, lastInsertID int64, err error)
 }
 
 // preparedStmt is one registered statement shape on one stream.
@@ -82,8 +83,7 @@ type outMsg struct {
 
 // muxConn is the server half of one multiplexed socket.
 type muxConn struct {
-	s    *Server
-	caps uint32 // negotiated capability bits for this socket
+	s *Server
 
 	w       *bufio.Writer
 	writeCh chan outMsg
@@ -98,9 +98,9 @@ type muxStream struct {
 	id uint32
 	in chan inFrame
 
-	// Flow control (CapStreamFlow). The dispatcher updates these
-	// out-of-band — the worker is busy producing row batches when acks
-	// and cancels arrive, so they cannot ride the in queue.
+	// Flow control. The dispatcher updates these out-of-band — the
+	// worker is busy producing row batches when acks and cancels arrive,
+	// so they cannot ride the in queue.
 	inflight  atomic.Int32  // row batches sent but not yet acked
 	cancelSeq atomic.Uint32 // latest cursor-cancel target (statement seq)
 	flow      chan struct{} // capacity 1; nudges a credit-blocked worker
@@ -114,13 +114,11 @@ func (st *muxStream) shutdown() {
 	st.doneOnce.Do(func() { close(st.done) })
 }
 
-// serveMux runs the v2 loop on a negotiated connection until the socket
-// dies or the client quits. The caller owns conn closing.
-func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, caps uint32) {
-	s.v2Conns.Add(1)
+// serveMux runs the multiplexed loop on a handshaken connection until
+// the socket dies or the client closes it. The caller owns conn closing.
+func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer) {
 	m := &muxConn{
 		s:       s,
-		caps:    caps,
 		w:       w,
 		writeCh: make(chan outMsg, 256),
 		wdone:   make(chan struct{}),
@@ -128,15 +126,15 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, caps 
 	}
 	go m.writeLoop()
 	for {
-		// Same slow-loris protection as the v1 loop: each frame must
-		// arrive whole within the idle window. Reclaiming the socket
-		// tears down the streams, which unblocks credit-parked workers
-		// (st.done) and releases their admission slots.
+		// Slow-loris protection: each frame must arrive whole within the
+		// idle window. Reclaiming the socket tears down the streams,
+		// which unblocks credit-parked workers (st.done) and releases
+		// their admission slots.
 		if d := s.idleTimeout; d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))
 		}
 		typ, sid, payload, err := protocol.ReadFrameV2(r, protocol.MaxFrame)
-		if err != nil || typ == protocol.FrameQuit {
+		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				s.idleReclaims.Add(1)
@@ -171,18 +169,13 @@ func (s *Server) serveMux(conn net.Conn, r *bufio.Reader, w *bufio.Writer, caps 
 func (m *muxConn) dispatch(typ byte, sid uint32, payload []byte) {
 	// Metrics pulls are answered inline — no session, no stream state.
 	if typ == protocol.FrameMetricsPull {
-		if m.caps&protocol.CapMetricsPull == 0 {
-			m.send(sid, protocol.FrameError, protocol.EncodeError("proxy: metrics pull not negotiated"))
-			return
-		}
 		m.send(sid, protocol.FrameMetrics, protocol.EncodeMetrics(m.s.MetricsSnapshot()))
 		return
 	}
 	// Flow-control frames are handled here, out-of-band: the stream's
 	// worker is busy producing the row batches these frames govern, so
 	// routing them through the in queue would deadlock the window.
-	if m.caps&protocol.CapStreamFlow != 0 &&
-		(typ == protocol.FrameBatchAck || typ == protocol.FrameCursorCancel) {
+	if typ == protocol.FrameBatchAck || typ == protocol.FrameCursorCancel {
 		m.mu.Lock()
 		st := m.streams[sid]
 		m.mu.Unlock()
@@ -207,12 +200,10 @@ func (m *muxConn) dispatch(typ byte, sid uint32, payload []byte) {
 		return
 	}
 	// Stamp the receive time only for statements that will be traced:
-	// one branchy peek per statement frame on capability conns, a
-	// time.Now() only when the client asked for recording.
+	// one branchy peek per statement frame, a time.Now() only when the
+	// client asked for recording.
 	var at time.Time
-	if m.caps&protocol.CapTraceContext != 0 &&
-		(typ == protocol.FrameQuery || typ == protocol.FrameExecStmt) &&
-		protocol.PeekTraceActive(payload) {
+	if typ == protocol.FrameExecStmt && protocol.PeekTraceActive(payload) {
 		at = time.Now()
 	}
 	m.mu.Lock()
@@ -294,34 +285,18 @@ func (m *muxConn) worker(st *muxStream) {
 				m.send(st.id, protocol.FrameError, protocol.EncodeError("proxy: unknown prepared statement"))
 				continue
 			}
-			m.runStatement(st, seq, sess, ps, "", args, tc, f.at)
-		case protocol.FrameQuery:
-			seq++
-			tc, body, ok := m.splitTrace(st.id, f.payload)
-			if !ok {
-				continue
-			}
-			sql, args, err := protocol.DecodeQuery(body)
-			if err != nil {
-				m.s.errors.Add(1)
-				m.send(st.id, protocol.FrameError, protocol.EncodeError(err.Error()))
-				continue
-			}
-			m.runStatement(st, seq, sess, nil, sql, args, tc, f.at)
+			m.runStatement(st, seq, sess, ps, args, tc, f.at)
 		default:
 			m.send(st.id, protocol.FrameError, protocol.EncodeError("proxy: unknown frame"))
 		}
 	}
 }
 
-// splitTrace strips the trace-context trailer from a statement payload
-// on capability connections. A malformed trailer gets an Error reply
-// (the frame is length-delimited, so the stream itself stays in sync);
-// ok=false means the caller should skip the frame.
+// splitTrace strips the trace-context trailer from a statement payload.
+// A malformed trailer gets an Error reply (the frame is length-delimited,
+// so the stream itself stays in sync); ok=false means the caller should
+// skip the frame.
 func (m *muxConn) splitTrace(sid uint32, payload []byte) (protocol.TraceContext, []byte, bool) {
-	if m.caps&protocol.CapTraceContext == 0 {
-		return protocol.TraceContext{}, payload, true
-	}
 	tc, body, err := protocol.SplitTraceContext(payload)
 	if err != nil {
 		m.s.errors.Add(1)
@@ -337,11 +312,11 @@ func (m *muxConn) splitTrace(sid uint32, payload []byte) (protocol.TraceContext,
 // the node's receive→reply total plus whatever stage spans the backend
 // session recorded.
 //
-// Sessions that implement the streaming interfaces serve queries as a
-// pull cursor: the header goes out as soon as the cursor exists, and
-// row batches are produced one at a time, paced by the stream's
-// flow-control window — the result is never materialized here.
-func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, ps *preparedStmt, sql string, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
+// Queries are served as a pull cursor: the header goes out as soon as
+// the cursor exists, and row batches are produced one at a time, paced
+// by the stream's flow-control window — the result is never
+// materialized here.
+func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, ps *preparedStmt, args []sqltypes.Value, tc protocol.TraceContext, recvAt time.Time) {
 	s := m.s
 	sid := st.id
 	s.statements.Add(1)
@@ -413,31 +388,18 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, p
 
 	var (
 		cols     []string
-		rows     []sqltypes.Row
 		rs       resource.ResultSet
 		affected int64
 		lastID   int64
 		err      error
 	)
 	switch {
-	case ps != nil && ps.parseErr != nil:
+	case ps.parseErr != nil:
 		err = ps.parseErr
-	case ps != nil && ps.handle != nil:
-		if ss, ok := sess.(StreamingPreparedBackendSession); ok {
-			cols, rs, affected, lastID, err = ss.ExecutePreparedStream(ps.handle, args)
-		} else {
-			cols, rows, affected, lastID, err = sess.(PreparedBackendSession).ExecutePrepared(ps.handle, args)
-		}
+	case ps.handle != nil:
+		cols, rs, affected, lastID, err = sess.(PreparedBackendSession).ExecutePrepared(ps.handle, args)
 	default:
-		text := sql
-		if ps != nil {
-			text = ps.sql
-		}
-		if ss, ok := sess.(StreamingBackendSession); ok {
-			cols, rs, affected, lastID, err = ss.ExecuteStream(text, args)
-		} else {
-			cols, rows, affected, lastID, err = sess.Execute(text, args)
-		}
+		cols, rs, affected, lastID, err = sess.Execute(ps.sql, args)
 	}
 
 	if err != nil {
@@ -445,15 +407,11 @@ func (m *muxConn) runStatement(st *muxStream, seq uint32, sess BackendSession, p
 		m.send(sid, protocol.FrameError, append(protocol.EncodeError(err.Error()), finishTrace()...))
 		return
 	}
-	if cols == nil {
+	if rs == nil {
 		m.send(sid, protocol.FrameOK, append(protocol.EncodeOK(affected, lastID), finishTrace()...))
 		return
 	}
-	if rs != nil {
-		m.streamRows(st, seq, cols, rs, finishTrace)
-		return
-	}
-	m.sendRows(sid, cols, rows, finishTrace())
+	m.streamRows(st, seq, cols, rs, finishTrace)
 }
 
 // send queues one frame for the socket writer.
@@ -479,15 +437,14 @@ const streamFillRows = 256
 
 // streamRows streams a query response from a pull cursor: one row batch
 // per write-queue message, so the socket writer interleaves streams
-// fairly and a result is never resident here as a whole. On
-// flow-controlled connections each batch first waits for window credit —
-// a stalled consumer pins at most StreamWindow batches of memory per
-// stream — and a cursor cancel naming this statement stops production
-// at the next batch boundary, finishing the stream with a clean EOF.
+// fairly and a result is never resident here as a whole. Each batch
+// first waits for window credit — a stalled consumer pins at most
+// StreamWindow batches of memory per stream — and a cursor cancel naming
+// this statement stops production at the next batch boundary, finishing
+// the stream with a clean EOF.
 func (m *muxConn) streamRows(st *muxStream, seq uint32, cols []string, rs resource.ResultSet, finishTrace func() []byte) {
 	defer rs.Close()
 	m.send(st.id, protocol.FrameHeader, protocol.EncodeHeader(cols))
-	flow := m.caps&protocol.CapStreamFlow != 0
 	buf := make([]sqltypes.Row, streamFillRows)
 	enc := &protocol.BatchEncoder{}
 	canceled := false
@@ -506,7 +463,7 @@ fill:
 		for _, row := range buf[:n] {
 			enc.Append(row)
 			if enc.Size() >= protocol.DefaultBatchBytes {
-				if !m.streamBatch(st, seq, enc.Payload(), flow) {
+				if !m.streamBatch(st, seq, enc.Payload()) {
 					canceled = true
 					break fill
 				}
@@ -515,60 +472,35 @@ fill:
 		}
 	}
 	if !canceled && enc.Rows() > 0 {
-		m.streamBatch(st, seq, enc.Payload(), flow)
+		m.streamBatch(st, seq, enc.Payload())
 	}
 	m.send(st.id, protocol.FrameEOF, finishTrace())
 }
 
-// streamBatch ships one row batch, first waiting for window credit on
-// flow-controlled connections. It returns false when this statement's
-// cursor was canceled or the stream is being torn down; the caller
-// stops producing and closes out the response.
-func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte, flow bool) bool {
-	if flow {
-		for {
-			if st.cancelSeq.Load() == seq {
-				return false
-			}
-			if st.inflight.Load() < protocol.StreamWindow {
-				break
-			}
-			// Re-check both conditions after every nudge: the flow
-			// channel is a condition signal, not a credit token.
-			select {
-			case <-st.flow:
-			case <-st.done:
-				return false
-			}
+// streamBatch ships one row batch, first waiting for window credit. It
+// returns false when this statement's cursor was canceled or the stream
+// is being torn down; the caller stops producing and closes out the
+// response.
+func (m *muxConn) streamBatch(st *muxStream, seq uint32, payload []byte) bool {
+	for {
+		if st.cancelSeq.Load() == seq {
+			return false
 		}
-		st.inflight.Add(1)
+		if st.inflight.Load() < protocol.StreamWindow {
+			break
+		}
+		// Re-check both conditions after every nudge: the flow channel
+		// is a condition signal, not a credit token.
+		select {
+		case <-st.flow:
+		case <-st.done:
+			return false
+		}
 	}
+	st.inflight.Add(1)
 	m.send(st.id, protocol.FrameRowBatch, payload)
 	m.s.rowBatches.Add(1)
 	return true
-}
-
-// sendRows queues a full query response, chunking rows into ~16KB
-// FrameRowBatch frames; tail (a span block, or nil) becomes the EOF
-// payload. Encoding happens here on the worker goroutine; only the
-// socket write is serialized.
-func (m *muxConn) sendRows(sid uint32, cols []string, rows []sqltypes.Row, tail []byte) {
-	frames := []outFrame{{protocol.FrameHeader, protocol.EncodeHeader(cols)}}
-	enc := &protocol.BatchEncoder{}
-	for _, row := range rows {
-		enc.Append(row)
-		if enc.Size() >= protocol.DefaultBatchBytes {
-			frames = append(frames, outFrame{protocol.FrameRowBatch, enc.Payload()})
-			m.s.rowBatches.Add(1)
-			enc = &protocol.BatchEncoder{} // the old buffer now belongs to the queue
-		}
-	}
-	if enc.Rows() > 0 {
-		frames = append(frames, outFrame{protocol.FrameRowBatch, enc.Payload()})
-		m.s.rowBatches.Add(1)
-	}
-	frames = append(frames, outFrame{protocol.FrameEOF, tail})
-	m.writeCh <- outMsg{sid: sid, frames: frames}
 }
 
 // writeLoop is the socket's only writer: it drains every queued response
@@ -604,7 +536,9 @@ func (m *muxConn) writeLoop() {
 			default:
 				// Yield once before flushing: runnable stream workers
 				// get to queue their responses into this same flush.
-				if yielded {
+				// A lone stream has nobody to coalesce with, and on a
+				// busy process the yield costs it latency.
+				if yielded || !m.shared() {
 					break drain
 				}
 				runtime.Gosched()
@@ -621,6 +555,13 @@ func (m *muxConn) writeLoop() {
 		}
 		dones = dones[:0]
 	}
+}
+
+// shared reports whether the socket carries more than one stream.
+func (m *muxConn) shared() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.streams) > 1
 }
 
 func (m *muxConn) writeMsg(msg outMsg) error {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -176,7 +177,7 @@ type hangSession struct {
 	b     *hangBackend
 }
 
-func (s *hangSession) Execute(sql string, args []sqltypes.Value) ([]string, []sqltypes.Row, int64, int64, error) {
+func (s *hangSession) Execute(sql string, args []sqltypes.Value) ([]string, resource.ResultSet, int64, int64, error) {
 	if strings.Contains(sql, "SLEEPY") {
 		s.b.hung <- struct{}{}
 		<-s.b.release
@@ -326,91 +327,127 @@ func TestMuxSocketBudget(t *testing.T) {
 	}
 }
 
-// TestV1ClientAgainstV2Server checks the downgrade path: a client that
-// never offers v2 still gets full v1 service.
-func TestV1ClientAgainstV2Server(t *testing.T) {
-	addr, srv := startNodeServer(t, "v1-compat")
-	conn, err := client.DialV1(addr)
+// firstFrameReply opens a raw socket, sends one bare frame as the
+// connection's first and returns the server's reply.
+func firstFrameReply(t *testing.T, addr string, typ byte, payload []byte) (byte, []byte, net.Conn) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	ctx := context.Background()
-	if _, err := conn.Exec(ctx, "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8))"); err != nil {
+	t.Cleanup(func() { nc.Close() })
+	w := bufio.NewWriter(nc)
+	if err := protocol.WriteFrame(w, typ, payload); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Exec(ctx, "INSERT INTO t VALUES (1, 'a'), (2, 'b')"); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := conn.Query(ctx, "SELECT v FROM t WHERE id = ?", sqltypes.NewInt(2))
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rtyp, rpayload, err := protocol.ReadFrame(bufio.NewReader(nc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _ := resource.ReadAll(rs)
-	if len(rows) != 1 || rows[0][0].S != "b" {
-		t.Fatalf("v1 query: %v", rows)
+	return rtyp, rpayload, nc
+}
+
+// TestHandshakeContract pins the only accepted opening: a Hello offering
+// version 2 with exactly LocalCaps gets the 12-byte HelloAck. Any other
+// first frame, and any other Hello, gets one FrameError and a closed
+// socket.
+func TestHandshakeContract(t *testing.T) {
+	addr, srv := startNodeServer(t, "handshake")
+	hello := protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.LocalCaps)
+
+	typ, ack, _ := firstFrameReply(t, addr, protocol.FrameHello, hello)
+	if typ != protocol.FrameHelloAck || len(ack) != 12 {
+		t.Fatalf("full hello: got %#x with %d-byte payload, want 12-byte HelloAck", typ, len(ack))
 	}
-	if got := srv.v2Conns.Load(); got != 0 {
-		t.Fatalf("v1 client counted as v2: %d", got)
+	if v, _, caps, err := protocol.DecodeHelloCaps(ack); err != nil || v != protocol.Version2 || caps != protocol.LocalCaps {
+		t.Fatalf("ack: version %d caps %#x err %v", v, caps, err)
+	}
+
+	refused := []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"ping first", protocol.FramePing, nil},
+		{"statement first", protocol.FrameExecStmt, protocol.EncodeExecStmt(1, nil)},
+		{"version 1", protocol.FrameHello, protocol.EncodeHelloCaps(1, protocol.MaxFrame, protocol.LocalCaps)},
+		{"version 3", protocol.FrameHello, protocol.EncodeHelloCaps(3, protocol.MaxFrame, protocol.LocalCaps)},
+		{"no caps", protocol.FrameHello, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, 0)},
+		{"partial caps", protocol.FrameHello, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.CapTraceContext)},
+		{"unknown cap", protocol.FrameHello, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.LocalCaps|1<<7)},
+		{"8-byte hello", protocol.FrameHello, hello[:8]},
+	}
+	for _, tc := range refused {
+		typ, _, nc := firstFrameReply(t, addr, tc.typ, tc.payload)
+		if typ != protocol.FrameError {
+			t.Fatalf("%s: got %#x, want FrameError", tc.name, typ)
+		}
+		// Exactly one frame, then the server closes: the next read hits
+		// EOF rather than a second reply or the deadline.
+		if _, err := nc.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: socket not closed after the error frame: %v", tc.name, err)
+		}
+	}
+	if got := srv.Metrics()["statements"]; got != 0 {
+		t.Fatalf("refused connections ran %d statements", got)
 	}
 }
 
-// TestMuxPoolFallsBackToV1 points the mux pool at a v1-only fake server
-// and checks logical conns degrade to v1 instead of failing.
-func TestMuxPoolFallsBackToV1(t *testing.T) {
-	// Fake v1 server: rejects Hello like the old binary (unknown frame),
-	// then answers queries with an empty OK.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(nc net.Conn) {
-				defer nc.Close()
-				r := bufio.NewReader(nc)
-				w := bufio.NewWriter(nc)
-				for {
-					typ, _, err := protocol.ReadFrame(r)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case protocol.FrameQuery:
-						protocol.WriteFrame(w, protocol.FrameOK, protocol.EncodeOK(1, 0))
-					case protocol.FramePing:
-						protocol.WriteFrame(w, protocol.FramePong, nil)
-					case protocol.FrameQuit:
-						return
-					default: // Hello included: v1 servers don't know it
-						protocol.WriteFrame(w, protocol.FrameError, protocol.EncodeError("proxy: unknown frame"))
-					}
-					if w.Flush() != nil {
-						return
-					}
-				}
-			}(nc)
+// TestDialRefusedHello points the client at a server that answers Hello
+// with FrameError, and at one whose HelloAck lacks capabilities: every
+// dial path must return an error and never a usable conn.
+func TestDialRefusedHello(t *testing.T) {
+	fake := func(reply func(w *bufio.Writer)) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
+		t.Cleanup(func() { ln.Close() })
+		go func() {
+			for {
+				nc, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func(nc net.Conn) {
+					defer nc.Close()
+					if _, _, err := protocol.ReadFrame(bufio.NewReader(nc)); err != nil {
+						return
+					}
+					w := bufio.NewWriter(nc)
+					reply(w)
+					w.Flush()
+				}(nc)
+			}
+		}()
+		return ln.Addr().String()
+	}
+	refusing := fake(func(w *bufio.Writer) {
+		protocol.WriteFrame(w, protocol.FrameError, protocol.EncodeError("proxy: unknown frame"))
+	})
+	capless := fake(func(w *bufio.Writer) {
+		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, 0))
+	})
 
-	ds := client.NewRemoteDataSource("legacy", ln.Addr().String(), &resource.Options{PoolSize: 4})
+	conn, err := client.Dial(refusing)
+	if conn != nil || !errors.Is(err, client.ErrRemote) {
+		t.Fatalf("Dial against a refusing server: conn=%v err=%v", conn, err)
+	}
+	if tr, err := client.DialMux(refusing); tr != nil || err == nil {
+		t.Fatalf("DialMux against a refusing server: tr=%v err=%v", tr, err)
+	}
+	ds := client.NewRemoteDataSource("refusing", refusing, &resource.Options{PoolSize: 2})
 	t.Cleanup(func() { ds.Close() })
-	pc, err := ds.Acquire()
-	if err != nil {
-		t.Fatal(err)
+	if pc, err := ds.Acquire(); err == nil {
+		pc.Release()
+		t.Fatal("pool handed out a conn from a refusing server")
 	}
-	defer pc.Release()
-	if _, err := pc.Exec(context.Background(), "INSERT INTO t VALUES (1)"); err != nil {
-		t.Fatalf("v1 fallback exec: %v", err)
-	}
-	m := ds.AuxMetrics()
-	if m["v1_fallback_conns"] == 0 {
-		t.Fatalf("fallback not recorded: %v", m)
+	if conn, err := client.Dial(capless); conn != nil || err == nil {
+		t.Fatalf("Dial against a capability-less ack: conn=%v err=%v", conn, err)
 	}
 }
 
@@ -436,7 +473,7 @@ func TestClientDefunctOnOversizedFrame(t *testing.T) {
 		if typ, _, err := protocol.ReadFrame(r); err != nil || typ != protocol.FrameHello {
 			return
 		}
-		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHello(protocol.Version2, protocol.MaxFrame))
+		protocol.WriteFrame(w, protocol.FrameHelloAck, protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.LocalCaps))
 		w.Flush()
 		// Wait for the first statement, then answer with a frame header
 		// claiming a 1GB payload.
@@ -473,7 +510,7 @@ func TestClientDefunctOnOversizedFrame(t *testing.T) {
 }
 
 // TestDoExecutesOnce guards against Do probing the statement kind by
-// running it twice (Query then Exec): on a v2 stream the server's reply
+// running it twice (Query then Exec): the server's reply
 // is already OK-or-rows, so one send must suffice. A double-executed
 // INSERT would fail on the duplicate primary key and leave two rows'
 // worth of statement counts.

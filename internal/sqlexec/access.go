@@ -137,7 +137,10 @@ func planAccess(tbl *storage.Table, names []string, conjuncts []sqlparser.Expr, 
 					allConst = false
 					break
 				}
-				keys = append(keys, btree.Key{v})
+				// A repeated value must not fetch its row twice.
+				if !containsKey(keys, v) {
+					keys = append(keys, btree.Key{v})
+				}
 			}
 			if allConst {
 				return accessPlan{kind: accessPKPoint, points: keys}
@@ -173,6 +176,16 @@ func planAccess(tbl *storage.Table, names []string, conjuncts []sqlparser.Expr, 
 		return rp
 	}
 	return plan
+}
+
+// containsKey reports whether a single-column key equal to v is in keys.
+func containsKey(keys []btree.Key, v sqltypes.Value) bool {
+	for _, k := range keys {
+		if sqltypes.Compare(k[0], v) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // extractColCmp matches "col op const" or "const op col" (with the

@@ -55,6 +55,8 @@ func TestSelectWherePaths(t *testing.T) {
 	}{
 		{"SELECT * FROM t_user WHERE uid = 2", 1},
 		{"SELECT * FROM t_user WHERE uid IN (1, 3)", 2},
+		{"SELECT * FROM t_user WHERE uid IN (2, 2)", 1},
+		{"SELECT * FROM t_user WHERE uid IN (2, 1, 2)", 2},
 		{"SELECT * FROM t_user WHERE uid BETWEEN 2 AND 4", 3},
 		{"SELECT * FROM t_user WHERE uid >= 2 AND uid < 4", 2},
 		{"SELECT * FROM t_user WHERE age = 25", 2},

@@ -1,8 +1,8 @@
 // Cross-process observability: remote spans grafted from data nodes and
 // federated metrics snapshots merged by the proxy.
 //
-// A wire-v2 connection that negotiated trace propagation carries a
-// compact trace context on each statement; the data node times its own
+// Every wire connection carries a compact trace context on each
+// statement; the data node times its own
 // work (queue, parse, read/write, lock wait, commit) relative to the
 // moment it received the frame and piggybacks those spans on the reply.
 // GraftRemote maps them into the proxy-side trace clock: the client

@@ -38,9 +38,8 @@ type muxFrame struct {
 	typ     byte
 	payload []byte
 	// at is the receive time, stamped by the demux goroutine on terminal
-	// frames of trace-capable transports — closer to the wire than the
-	// consumer's clock, so queue time on the client side counts toward
-	// the wire gap too.
+	// frames — closer to the wire than the consumer's clock, so queue
+	// time on the client side counts toward the wire gap too.
 	at time.Time
 }
 
@@ -57,13 +56,12 @@ type outMsg struct {
 	frames []outFrame
 }
 
-// Transport is one multiplexed TCP connection to a v2 server. Safe for
+// Transport is one multiplexed TCP connection to a server. Safe for
 // concurrent use; logical connections are opened with OpenConn.
 type Transport struct {
 	nc   net.Conn
 	r    *bufio.Reader
 	addr string // dialed address; default trace-source label
-	caps uint32 // negotiated capability bits
 
 	w        *bufio.Writer
 	writeCh  chan outMsg
@@ -91,11 +89,10 @@ type Transport struct {
 // stream is the client half of one logical connection: an inbound frame
 // queue fed by the demux goroutine. Control frames are bounded by the
 // pipeline window (at most MaxPipeline responses outstanding); row
-// batches are bounded by the server's flow-control window on
-// CapStreamFlow transports — the server keeps at most StreamWindow
-// unacked batches in flight, and the consumer acks each batch as it
-// pops, so a stalled merge holds ~StreamWindow×DefaultBatchBytes per
-// source instead of the whole result.
+// batches are bounded by the server's flow-control window — the server
+// keeps at most StreamWindow unacked batches in flight, and the consumer
+// acks each batch as it pops, so a stalled merge holds
+// ~StreamWindow×DefaultBatchBytes per source instead of the whole result.
 type stream struct {
 	id      uint32
 	mu      sync.Mutex
@@ -164,80 +161,65 @@ func (s *stream) pop(ctx context.Context) (muxFrame, error) {
 	}
 }
 
-// negotiate dials addr and offers protocol v2. Exactly one of the first
-// two returns is non-nil: a Transport when the server accepted v2, or a
-// plain v1 Conn reusing the same socket when it did not (a v1 server
-// rejects the Hello frame with an error and keeps serving).
-func negotiate(addr string) (*Transport, *Conn, error) {
+// DialMux connects to a proxy or data node and performs the handshake:
+// a Hello offering version 2 with LocalCaps, answered by a HelloAck
+// carrying the same. A server that refuses answers FrameError instead;
+// its message comes back typed (an accept-time overload rejection
+// satisfies IsOverloaded). Callers open logical connections on the
+// returned transport with OpenConn.
+func DialMux(addr string) (_ *Transport, err error) {
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			nc.Close()
+		}
+	}()
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	r := bufio.NewReaderSize(nc, 64<<10)
 	w := bufio.NewWriterSize(nc, 64<<10)
-	hello := protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, NegotiateCaps)
+	hello := protocol.EncodeHelloCaps(protocol.Version2, protocol.MaxFrame, protocol.LocalCaps)
 	if err := protocol.WriteFrame(w, protocol.FrameHello, hello); err != nil {
-		nc.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	if err := w.Flush(); err != nil {
-		nc.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	typ, payload, err := protocol.ReadFrame(r)
 	if err != nil {
-		nc.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	switch typ {
 	case protocol.FrameHelloAck:
-		version, maxFrame, caps, err := protocol.DecodeHelloCaps(payload)
-		if err != nil || version != protocol.Version2 {
-			nc.Close()
-			return nil, nil, fmt.Errorf("client: bad hello ack (version %d): %v", version, err)
-		}
-		if maxFrame == 0 || maxFrame > protocol.MaxFrame {
-			maxFrame = protocol.MaxFrame
-		}
-		t := &Transport{
-			nc:       nc,
-			r:        r,
-			addr:     addr,
-			caps:     caps & protocol.LocalCaps,
-			w:        w,
-			writeCh:  make(chan outMsg, 256),
-			quit:     make(chan struct{}),
-			streams:  map[uint32]*stream{},
-			maxFrame: maxFrame,
-		}
-		go t.demux()
-		go t.writeLoop()
-		return t, nil, nil
 	case protocol.FrameError:
-		// v1 server: it rejected the unknown frame type and is still
-		// serving. Keep the socket and speak v1 on it.
-		return nil, &Conn{nc: nc, r: r, w: w}, nil
+		msg, _ := protocol.DecodeError(payload)
+		return nil, remoteError(msg)
 	default:
-		nc.Close()
-		return nil, nil, fmt.Errorf("client: unexpected frame %#x to hello", typ)
+		return nil, fmt.Errorf("client: unexpected frame %#x to hello", typ)
 	}
-}
-
-// DialMux connects to a data node and negotiates a multiplexed v2
-// transport. It fails (rather than falling back) if the server only
-// speaks v1; use Dial for transparent negotiation.
-func DialMux(addr string) (*Transport, error) {
-	t, legacy, err := negotiate(addr)
-	if err != nil {
-		return nil, err
+	version, maxFrame, caps, err := protocol.DecodeHelloCaps(payload)
+	if err != nil || version != protocol.Version2 || caps != protocol.LocalCaps {
+		return nil, fmt.Errorf("client: bad hello ack (version %d, caps %#x): %v", version, caps, err)
 	}
-	if legacy != nil {
-		legacy.Close()
-		return nil, fmt.Errorf("client: %s only speaks protocol v1", addr)
+	if maxFrame == 0 || maxFrame > protocol.MaxFrame {
+		maxFrame = protocol.MaxFrame
 	}
+	t := &Transport{
+		nc:       nc,
+		r:        r,
+		addr:     addr,
+		w:        w,
+		writeCh:  make(chan outMsg, 256),
+		quit:     make(chan struct{}),
+		streams:  map[uint32]*stream{},
+		maxFrame: maxFrame,
+	}
+	go t.demux()
+	go t.writeLoop()
 	return t, nil
 }
 
@@ -262,8 +244,7 @@ func (t *Transport) demux() {
 			t.bytesStreamed.Add(int64(len(payload)))
 		}
 		var at time.Time
-		if t.caps&protocol.CapTraceContext != 0 &&
-			(typ == protocol.FrameOK || typ == protocol.FrameEOF || typ == protocol.FrameError) {
+		if typ == protocol.FrameOK || typ == protocol.FrameEOF || typ == protocol.FrameError {
 			at = time.Now()
 		}
 		t.mu.Lock()
@@ -324,9 +305,10 @@ func (t *Transport) send(sid uint32, frames ...outFrame) error {
 // writeLoop is the transport's only socket writer. Before paying the
 // flush syscall it drains everything queued, yields once so runnable
 // streams can queue their statements too, and drains again — so a burst
-// of concurrent statements shares one flush. The yield costs nothing
-// when the transport is idle: with no other runnable goroutine it
-// returns immediately and the single statement flushes at once.
+// of concurrent statements shares one flush. Only a transport carrying
+// several streams yields: a lone stream has nobody to coalesce with,
+// and on a busy process the yield is a trip through the global run
+// queue that lands on the statement's latency.
 func (t *Transport) writeLoop() {
 	for {
 		var msg outMsg
@@ -344,7 +326,7 @@ func (t *Transport) writeLoop() {
 				err = t.writeMsg(msg)
 				yielded = false
 			default:
-				if yielded {
+				if yielded || t.ActiveStreams() < 2 {
 					break drain
 				}
 				runtime.Gosched()
